@@ -5,9 +5,9 @@
 
 GO ?= go
 
-.PHONY: check build vet lint test test-race bench fmt bench-json chaos crash ingest-chaos smoke-serve smoke-scan smoke-overload smoke-incr smoke-shard
+.PHONY: check build vet lint test test-race bench fmt bench-json chaos crash ingest-chaos smoke-serve smoke-scan smoke-overload smoke-incr loc
 
-check: build vet lint test-race chaos crash ingest-chaos smoke-serve smoke-scan smoke-overload smoke-incr smoke-shard
+check: build vet lint test-race chaos crash ingest-chaos smoke-serve smoke-scan smoke-overload smoke-incr
 
 build:
 	$(GO) build ./...
@@ -86,15 +86,6 @@ smoke-incr:
 	$(GO) test -race -count=1 -run 'TestAppendPatchesViews|TestChangeWindowStaysOnInvalidatePath' ./internal/serve
 	$(GO) run ./cmd/tgraph-bench -exp incr -scale 0.25
 
-# Sharded-serving smoke: scatter-gather responses byte-identical to
-# unsharded across shard counts, strategies and representations; a
-# pre-split directory auto-detected and served with durable per-shard
-# WAL appends; and a fault-injected shard worker degrading to a partial
-# merge (or failing fast) under the race detector.
-smoke-shard:
-	$(GO) test -race -count=1 -run 'TestShardedByteIdentity|TestShardedDiskAppendDurability|TestShardedPartialDegraded' ./internal/serve
-	$(GO) test -race -count=1 -run 'TestChaosPartialFailure|TestAZoomByteIdentity' ./internal/shard
-
 bench:
 	$(GO) test -bench=. -benchtime=1x ./...
 
@@ -104,3 +95,8 @@ bench-json:
 
 fmt:
 	gofmt -l -w .
+
+# Net non-test Go lines outside the servebench module: the size the
+# ROADMAP tracks.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './servebench/*' ! -path './.bench_build/*' -print0 | xargs -0 cat | wc -l

@@ -87,7 +87,9 @@ func Example_windowZoom() {
 		return
 	}
 	printVertices(quarters)
-	for _, e := range quarters.EdgeStates() {
+	es := quarters.EdgeStates()
+	sort.Slice(es, func(i, j int) bool { return es[i].Interval.Before(es[j].Interval) })
+	for _, e := range es {
 		fmt.Printf("%d -> %d %v\n", e.Src, e.Dst, e.Interval)
 	}
 	// Output:

@@ -53,7 +53,7 @@ func TestPartitionUniformity(t *testing.T) {
 }
 
 // TestEdgePartition2DReplicationBound asserts the documented vertex-cut
-// guarantee for all shard counts: every vertex is mirrored to at most
+// guarantee for all partition counts: every vertex is mirrored to at most
 // 2*ceil(sqrt(P)) partitions. The pre-fix modulo wrap broke this for
 // non-perfect-square P by folding extra grid cells onto low partitions.
 func TestEdgePartition2DReplicationBound(t *testing.T) {
@@ -83,7 +83,7 @@ func TestEdgePartition2DReplicationBound(t *testing.T) {
 
 // TestPartitionGolden pins exact placements so any change to the
 // hashing or grid layout — which would silently reshuffle every
-// sharded storage directory — fails loudly. Values were captured from
+// graphx.Graph's edge partitions — fails loudly. Values were captured from
 // the fixed implementation; the 2D entries for perfect squares (4, 9,
 // 16) also pin the historical row*side+col placement.
 func TestPartitionGolden(t *testing.T) {

@@ -153,7 +153,7 @@ func CheckSource(fset *token.FileSet, filename string, src []byte) ([]Diagnostic
 // zoom views whose patch-vs-fallback rules DESIGN.md specifies; its
 // godoc must state those contracts next to the code that enforces
 // them.
-var docDirs = []string{"internal/storage", "internal/serve", "internal/resil", "internal/incr", "internal/shard"}
+var docDirs = []string{"internal/storage", "internal/serve", "internal/resil", "internal/incr"}
 
 // CheckDocs walks the docDirs under root and reports every exported
 // top-level symbol (func, method, type, const, var) that has no doc

@@ -49,8 +49,7 @@
 //	resil.retry.denied      retries refused by a RetryBudget (counter)
 //
 // The package depends only on the standard library and internal/obs, so
-// any layer (serving today, shard fan-out tomorrow) can use it without
-// import cycles.
+// any layer can use it without import cycles.
 package resil
 
 import "errors"

@@ -291,3 +291,36 @@ func TestAppendTriggersCompaction(t *testing.T) {
 		t.Fatalf("post-compaction append: %d", code)
 	}
 }
+
+// TestSameStampReloadKeepsVersions: when a failed apply drops the graph,
+// the reload finds the stamp unchanged and must keep the tag versions —
+// resetting them to 0 would make keys computed before the drop live
+// again.
+func TestSameStampReloadKeepsVersions(t *testing.T) {
+	s, _ := newTestServer(t, Config{})
+	req := WZoomRequest{Graph: "fig1", Window: "3 units"}
+	if w := doJSON(t, s, "POST", "/v1/wzoom", req); w.Code != http.StatusOK {
+		t.Fatalf("warmup: %d", w.Code)
+	}
+	if _, code := appendJSON(t, s, AppendRequest{Graph: "fig1", Deltas: []DeltaJSON{
+		{Kind: "vertex", ID: 90, Start: 3, End: 4},
+	}}); code != http.StatusOK {
+		t.Fatalf("append: %d", code)
+	}
+	h := s.graphs["fig1"]
+	h.mu.Lock()
+	v := h.deps["full"].version
+	h.graph = nil // what a failed apply leaves behind
+	h.mu.Unlock()
+	if w := doJSON(t, s, "POST", "/v1/wzoom", req); w.Code != http.StatusOK {
+		t.Fatalf("query after drop: %d", w.Code)
+	}
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if h.graph == nil {
+		t.Fatal("graph not reloaded")
+	}
+	if got := h.deps["full"].version; got != v || v == 0 {
+		t.Errorf("full-tag version after same-stamp reload = %d, want %d (> 0)", got, v)
+	}
+}

@@ -96,7 +96,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/qcache"
 	"repro/internal/resil"
-	"repro/internal/shard"
 	"repro/internal/storage"
 	"repro/internal/storage/wal"
 	"repro/internal/temporal"
@@ -135,24 +134,10 @@ type Config struct {
 	// used when (re)loading a graph directory (see
 	// storage.ScanOptions.Parallelism); <= 0 selects GOMAXPROCS.
 	ScanParallelism int
-	// Shards splits each flat graph into this many in-process shard
-	// workers at load time (vertex-cut partitioning, see internal/shard)
-	// and serves queries scatter-gather; <= 1 serves unsharded.
-	// Directories already split on disk by tgraph-shard are detected
-	// automatically (shards.json) and served sharded regardless of this
-	// setting.
+	// Shards must be 0 or 1; sharded serving was removed. The field stays
+	// so configurations that record it keep compiling, and New rejects
+	// larger values.
 	Shards int
-	// ShardStrategy names the placement strategy for Shards > 1
-	// ("EdgePartition2D" default, "EdgePartition1D", "RandomVertexCut",
-	// "TimeRange"). Ignored for pre-split directories, which carry their
-	// strategy in the manifest.
-	ShardStrategy string
-	// ShardPartial enables degraded partial results when a subset of
-	// shards fails mid-query: the response merges the surviving shards'
-	// contributions, answers 200, and carries X-TGraph-Shards: k/n.
-	// When false (default) the first shard failure fails the request
-	// with a typed dataflow.JobError.
-	ShardPartial bool
 	// MaxInflight bounds concurrently executing query requests
 	// (admission control); <= 0 disables the limiter and every request
 	// is admitted, preserving the unbounded pre-resilience behaviour.
@@ -217,23 +202,10 @@ type graphHandle struct {
 	walOpts      wal.Options
 	compactAfter int
 
-	// Sharded serving. shardDisk marks a directory pre-split by
-	// tgraph-shard (shards.json present): coord is built at New and the
-	// shard workers own the storage and WALs — h.graph and h.log stay
-	// nil. shards > 1 marks in-memory sharding of a flat directory: the
-	// flat graph and WAL work exactly as unsharded (durability,
-	// compaction), and each (re)load additionally splits the loaded
-	// states into a fresh coordinator that answers the queries.
-	shardDisk     bool
-	shards        int
-	shardStrategy shard.Strategy
-	shardOpts     shard.Options
-
 	mu    sync.Mutex
 	stamp string // storage.BaseStamp at load/compaction time
 	graph core.TGraph
 	log   *wal.Log
-	coord *shard.Coordinator // non-nil while serving sharded
 	// deps maps each served rangeTag to the time interval results under
 	// it depend on; the zero interval means "everything" (the "full"
 	// tag). An append invalidates exactly the overlapping tags.
@@ -302,24 +274,6 @@ func (h *graphHandle) ensure(reqCtx context.Context, cache *qcache.Cache, parall
 				return err
 			}
 		}
-		if h.shardDisk {
-			// Pre-split directory: the coordinator checks each shard's base
-			// stamp and reloads only the changed ones. Like the flat stamp,
-			// the combined stamp tracks committed epochs only — live appends
-			// advance the workers in place.
-			stamp, err := h.coord.Ensure(reqCtx)
-			if err != nil {
-				return fmt.Errorf("serve: shards %s: %w", h.name, err)
-			}
-			if h.stamp != stamp {
-				if h.stamp != "" {
-					cache.InvalidatePrefix(h.name + "|")
-				}
-				h.stamp = stamp
-				h.deps = make(map[string]depEntry)
-			}
-			return nil
-		}
 		// The base stamp tracks committed epochs only: live appends this
 		// server acks advance the in-memory view directly (and invalidate
 		// surgically), so they must not — and do not — trip a reload.
@@ -350,22 +304,17 @@ func (h *graphHandle) ensure(reqCtx context.Context, cache *qcache.Cache, parall
 				}
 				h.log = l
 			}
-			h.graph, h.stamp = g, stamp
-			// Version reset is safe here: the stamp changed, so old keys
-			// can never collide with the new epoch's. Materialized views
-			// were built over the replaced graph; drop them and let the
-			// next append rebuild from the fresh load.
-			h.deps = make(map[string]depEntry)
-			h.dropViewsLocked()
-			if h.shards > 1 {
-				// In-memory sharding: split the freshly loaded states into a
-				// new coordinator. The old one (if any) was built over the
-				// replaced graph.
-				if h.coord != nil {
-					h.coord.Close()
-				}
-				h.coord = shard.NewFromStates(g.VertexStates(), g.EdgeStates(), h.shardStrategy, h.shards, h.shardOpts)
+			if h.stamp != stamp {
+				// Version reset is safe only when the stamp changed: old keys
+				// can never collide with the new epoch's. A same-stamp reload
+				// (the graph was dropped after a failed apply) keeps the
+				// versions, so keys computed before the drop stay dead.
+				h.deps = make(map[string]depEntry)
 			}
+			h.graph, h.stamp = g, stamp
+			// Materialized views were built over the replaced graph; drop
+			// them and let the next append rebuild from the fresh load.
+			h.dropViewsLocked()
 		}
 		return nil
 	}
@@ -381,11 +330,9 @@ func (h *graphHandle) ensure(reqCtx context.Context, cache *qcache.Cache, parall
 		return err
 	})
 	if err != nil {
-		if h.graph != nil || (h.shardDisk && h.stamp != "") {
+		if h.graph != nil {
 			// Degraded mode: the directory is unreadable (or the breaker
 			// refuses to check), but the last committed load still answers.
-			// For a pre-split directory the loaded state lives in the shard
-			// workers; h.graph stays nil and the stamp marks "ever loaded".
 			return h.graph, h.stamp, true, nil
 		}
 		return nil, "", false, err
@@ -404,9 +351,6 @@ func (h *graphHandle) ensure(reqCtx context.Context, cache *qcache.Cache, parall
 func (h *graphHandle) append(cache *qcache.Cache, parallelism int, ds []wal.Delta) (resp AppendResponse, compacted bool, compactErr, err error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if h.shardDisk {
-		return h.appendShardedLocked(cache, ds)
-	}
 	if h.log == nil || h.graph == nil {
 		return AppendResponse{}, false, nil, fmt.Errorf("serve: graph %q not loaded", h.name)
 	}
@@ -421,19 +365,15 @@ func (h *graphHandle) append(cache *qcache.Cache, parallelism int, ds []wal.Delt
 	if aerr := h.applyLocked(ds); aerr != nil {
 		h.graph = nil
 		h.dropViewsLocked()
+		// Bump every tag too, so a result a racing query computes from the
+		// dropped graph and inserts after this flush stays unreachable
+		// once the reload replays ds.
+		for tag, e := range h.deps {
+			e.version++
+			h.deps[tag] = e
+		}
 		cache.InvalidatePrefix(h.name + "|")
 		return AppendResponse{}, false, nil, fmt.Errorf("serve: apply %s: %w", h.name, aerr)
-	}
-	if h.coord != nil {
-		// In-memory sharding: route the acked deltas into the shard
-		// workers so the sharded view tracks the flat one. Worker appends
-		// are pure in-memory mutations (durability is the flat WAL above);
-		// a failure means the split diverged — drop the coordinator and
-		// fall back to unsharded serving until the next reload re-splits.
-		if serr := h.coord.Append(ds); serr != nil {
-			h.coord.Close()
-			h.coord = nil
-		}
 	}
 	invalidated := h.invalidateSpanLocked(cache, deltaSpan(ds))
 	// Incremental view maintenance: patch the registered chains' cache
@@ -451,31 +391,6 @@ func (h *graphHandle) append(cache *qcache.Cache, parallelism int, ds []wal.Delt
 		return resp, true, nil, nil
 	}
 	return resp, false, nil, nil
-}
-
-// appendShardedLocked is the append path for pre-split directories: the
-// coordinator routes each delta to its owning shard, whose WAL makes it
-// durable before the in-memory mutation (vertices additionally replicate
-// to the shards mirroring them). There is no cross-shard atomicity: a
-// mid-batch failure leaves the deltas already routed durable on their
-// shards and the rest unwritten, the batch is NOT acked, and a client
-// retry re-appends the whole batch (at-least-once, like any WAL retry).
-// Tag versions are bumped even on failure so cached merges can never
-// mask the partially applied records. Caller holds h.mu.
-func (h *graphHandle) appendShardedLocked(cache *qcache.Cache, ds []wal.Delta) (resp AppendResponse, compacted bool, compactErr, err error) {
-	if h.coord == nil || h.stamp == "" {
-		return AppendResponse{}, false, nil, fmt.Errorf("serve: graph %q not loaded", h.name)
-	}
-	aerr := h.coord.Append(ds)
-	invalidated := h.invalidateSpanLocked(cache, deltaSpan(ds))
-	if aerr != nil {
-		return AppendResponse{}, false, nil, fmt.Errorf("serve: append %s: %w", h.name, aerr)
-	}
-	h.appended += len(ds)
-	// Per-shard logs have independent sequence spaces, so the response
-	// carries no global FirstSeq/LastSeq. Inline compaction is not wired
-	// for shard WALs; compact offline by re-splitting with tgraph-shard.
-	return AppendResponse{Invalidated: invalidated}, false, nil, nil
 }
 
 // invalidateSpanLocked performs the surgical append invalidation: only
@@ -528,12 +443,9 @@ func (h *graphHandle) applyLocked(ds []wal.Delta) error {
 // surgical invalidation, and multi-step chains are not single-view
 // maintainable). OGC graphs are excluded: the topology-only
 // representation drops the properties a patched body would need to
-// reproduce byte-identically. Sharded handles are excluded too: their
-// responses come out of the coordinator merge (which carries shard
-// metadata no flat view reproduces), and the shard workers already
-// cache partials per version. Caller holds h.mu.
+// reproduce byte-identically. Caller holds h.mu.
 func (h *graphHandle) registerViewLocked(steps []step) {
-	if h.rep == core.RepOGC || len(steps) != 1 || h.shardDisk || h.shards > 1 {
+	if h.rep == core.RepOGC || len(steps) != 1 {
 		return
 	}
 	st := steps[0]
@@ -704,6 +616,9 @@ func New(cfg Config) (*Server, error) {
 	if len(cfg.Graphs) == 0 {
 		return nil, errors.New("serve: no graphs configured")
 	}
+	if cfg.Shards > 1 {
+		return nil, fmt.Errorf("serve: Shards = %d: must be 0 or 1; sharded serving was removed", cfg.Shards)
+	}
 	r := obs.Default()
 	s := &Server{
 		mux:             http.NewServeMux(),
@@ -731,10 +646,6 @@ func New(cfg Config) (*Server, error) {
 		return nil, fmt.Errorf("serve: %w", err)
 	}
 	walOpts := wal.Options{Mode: walMode, MaxSyncDelay: cfg.WALMaxSyncDelay, Hook: cfg.WALFaultHook}
-	shardStrategy, err := shard.ParseStrategy(cfg.ShardStrategy)
-	if err != nil {
-		return nil, fmt.Errorf("serve: %w", err)
-	}
 	if cfg.MaxInflight > 0 {
 		s.limiter = resil.NewLimiter(cfg.MaxInflight, cfg.QueueDepth)
 	}
@@ -768,31 +679,6 @@ func New(cfg Config) (*Server, error) {
 			walOpts:      walOpts,
 			compactAfter: cfg.CompactAfter,
 		}
-		shardOpts := shard.Options{
-			Parallelism:     cfg.Parallelism,
-			ScanParallelism: cfg.ScanParallelism,
-			CacheBytes:      cfg.CacheBytes,
-			Partial:         cfg.ShardPartial,
-			WALOpts:         walOpts,
-			FaultHook:       cfg.FaultHook,
-		}
-		switch {
-		case shard.IsSharded(gc.Dir):
-			// Pre-split directory: the coordinator owns the shard
-			// subdirectories (storage and WALs); the flat-graph fields stay
-			// nil and inline compaction is disabled.
-			shardOpts.OpenWAL = true
-			coord, err := shard.Open(gc.Dir, shardOpts)
-			if err != nil {
-				return nil, fmt.Errorf("serve: graph %q: %w", gc.Name, err)
-			}
-			h.coord = coord
-			h.shardDisk = true
-		case cfg.Shards > 1:
-			h.shards = cfg.Shards
-			h.shardStrategy = shardStrategy
-			h.shardOpts = shardOpts
-		}
 		s.graphs[gc.Name] = h
 		s.names = append(s.names, gc.Name)
 	}
@@ -803,7 +689,6 @@ func New(cfg Config) (*Server, error) {
 	s.mux.HandleFunc("POST /v1/pipeline", s.handlePipeline)
 	s.mux.HandleFunc("POST /v1/append", s.handleAppend)
 	s.mux.HandleFunc("GET /v1/graphs", s.handleGraphs)
-	s.mux.HandleFunc("GET /healthz", s.handleHealth)
 	s.mux.HandleFunc("GET /livez", s.handleLive)
 	s.mux.HandleFunc("GET /readyz", s.handleReady)
 	s.mux.HandleFunc("GET /metricsz", s.handleMetrics)
@@ -846,9 +731,8 @@ func (s *Server) Drain() {
 	s.closeLogs()
 }
 
-// closeLogs releases the write-ahead logs the server owns — the flat
-// per-graph logs and any shard coordinators' per-shard logs — flushing
-// any batched-but-unsynced records first.
+// closeLogs releases the per-graph write-ahead logs the server owns,
+// flushing any batched-but-unsynced records first.
 func (s *Server) closeLogs() {
 	for _, name := range s.names {
 		h := s.graphs[name]
@@ -856,10 +740,6 @@ func (s *Server) closeLogs() {
 		if h.log != nil {
 			h.log.Close()
 			h.log = nil
-		}
-		if h.coord != nil {
-			h.coord.Close()
-			h.coord = nil
 		}
 		h.mu.Unlock()
 	}
@@ -983,6 +863,19 @@ func statusForRunError(err error) int {
 	}
 }
 
+// failEnsure answers a request whose graph could not be loaded and has
+// no last-good view to degrade to: 503 with Retry-After when it may
+// become loadable momentarily (a save in progress or torn, or the
+// reload breaker refusing to look), 500 otherwise.
+func (s *Server) failEnsure(w http.ResponseWriter, err error) {
+	code := http.StatusInternalServerError
+	if errors.Is(err, storage.ErrIncompleteSave) || errors.Is(err, resil.ErrOpen) {
+		code = http.StatusServiceUnavailable
+		w.Header().Set("Retry-After", s.retryAfter())
+	}
+	s.fail(w, code, err)
+}
+
 // admit performs the shared request bookkeeping: drain refusal,
 // admission control (when limited), counters, span and latency
 // histogram. It returns false if the request was already answered
@@ -1047,15 +940,7 @@ func (s *Server) run(w http.ResponseWriter, r *http.Request, graphName string, s
 	}
 	g, stamp, degraded, err := h.ensure(r.Context(), s.cache, s.parallelism, s.scanParallelism)
 	if err != nil {
-		code := http.StatusInternalServerError
-		if errors.Is(err, storage.ErrIncompleteSave) || errors.Is(err, resil.ErrOpen) {
-			// A save is in progress (or was torn, or the breaker refuses to
-			// look) and no last-good graph exists yet; the graph may become
-			// loadable momentarily.
-			code = http.StatusServiceUnavailable
-			w.Header().Set("Retry-After", s.retryAfter())
-		}
-		s.fail(w, code, err)
+		s.failEnsure(w, err)
 		return
 	}
 	if degraded {
@@ -1088,15 +973,8 @@ func (s *Server) run(w http.ResponseWriter, r *http.Request, graphName string, s
 	if h.graph != nil {
 		g, stamp = h.graph, h.stamp
 	}
-	// The coordinator pointer and the stamp/version must come out of the
-	// same critical section: a concurrent reload swaps both together.
-	coord := h.coord
 	h.mu.Unlock()
 	key := fmt.Sprintf("%s|%s|v%d|%s", graphName, tag, e.version, qcache.Key(stamp, canonical(steps)))
-	if coord != nil {
-		s.runSharded(w, r, coord, h.rep, steps, key)
-		return
-	}
 	val, outcome, err := s.cache.DoCtx(r.Context(), key, func() (any, int64, error) {
 		defer obs.StartSpan("serve.compute").End()
 		s.computations.Add(1)
@@ -1134,122 +1012,6 @@ func (s *Server) run(w http.ResponseWriter, r *http.Request, graphName string, s
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("X-TGraph-Cache", outcome.String())
 	w.Write(val.([]byte))
-}
-
-// shardedBody is the cached value of a sharded computation: the encoded
-// response plus the shard coverage header it was merged from (always
-// "n/n" — partial merges are never cached).
-type shardedBody struct {
-	body   []byte
-	shards string
-}
-
-// partialError carries a degraded partial merge out of the cache's
-// compute function as an error: qcache shares errors with concurrent
-// waiters but never caches them, which is exactly the semantics a
-// partial result needs — every in-flight requester gets the k/n body,
-// and the next request recomputes in the hope of full coverage.
-type partialError struct {
-	body  []byte
-	stats shard.Stats
-}
-
-func (e *partialError) Error() string {
-	return fmt.Sprintf("serve: partial shard result %s", e.stats.Header())
-}
-
-// shardQuery translates a parsed operator chain into the coordinator's
-// query form: a leading azoom/wzoom step ships its spec for shard-side
-// evaluation (keeping its apply func as the gather fallback), a leading
-// range step becomes the shard-side clip with non-overlapping shards
-// pruned, and everything else runs as tail steps over the merged graph.
-func shardQuery(rep core.Representation, steps []step) shard.Query {
-	first := steps[0]
-	q := shard.Query{Rep: rep, Canon: first.canon}
-	rest := steps[1:]
-	switch {
-	case first.azSpec != nil:
-		q.AZ = first.azSpec
-		q.First = first.apply
-	case first.wzSpec != nil:
-		q.WZ = first.wzSpec
-		q.First = first.apply
-	case !first.depends.IsEmpty():
-		q.Clip = first.depends
-	default:
-		rest = steps
-	}
-	for _, st := range rest {
-		q.Tail = append(q.Tail, st.apply)
-	}
-	return q
-}
-
-// runSharded is run's compute path for sharded handles: the chain is
-// scattered across the shard workers through the coordinator and the
-// merged body — byte-identical to the unsharded computation — is cached
-// under the same key the flat path would use. Full merges answer with
-// X-TGraph-Shards: n/n; partial merges (ShardPartial mode, some shards
-// failed) answer 200 with k/n, are counted as degraded, and are never
-// cached.
-func (s *Server) runSharded(w http.ResponseWriter, r *http.Request, coord *shard.Coordinator, rep core.Representation, steps []step, key string) {
-	q := shardQuery(rep, steps)
-	val, outcome, err := s.cache.DoCtx(r.Context(), key, func() (any, int64, error) {
-		defer obs.StartSpan("serve.compute").End()
-		s.computations.Add(1)
-		reqCtx := dataflow.NewContext(
-			dataflow.WithParallelism(s.parallelism),
-			dataflow.WithTimeout(s.timeout),
-		)
-		defer reqCtx.Close()
-		// The scatter derives per-shard deadlines from this context; mirror
-		// the dataflow timeout onto it so shard legs observe the same
-		// budget the merge runs under.
-		runCtx := r.Context()
-		if s.timeout > 0 {
-			var cancel context.CancelFunc
-			runCtx, cancel = context.WithTimeout(runCtx, s.timeout)
-			defer cancel()
-		}
-		var body []byte
-		var stats shard.Stats
-		err := reqCtx.Run(func() error {
-			out, st, err := coord.Run(runCtx, reqCtx, q)
-			stats = st
-			if err != nil {
-				return err
-			}
-			var e error
-			body, e = encodeGraph(out)
-			return e
-		})
-		if err != nil {
-			return nil, 0, err
-		}
-		if stats.Partial {
-			return nil, 0, &partialError{body: body, stats: stats}
-		}
-		return shardedBody{body: body, shards: stats.Header()}, int64(len(body)), nil
-	})
-	if err != nil {
-		var pe *partialError
-		if errors.As(err, &pe) {
-			s.degraded.Add(1)
-			w.Header().Set("Content-Type", "application/json")
-			w.Header().Set("X-TGraph-Cache", outcome.String())
-			w.Header().Set("X-TGraph-Degraded", "partial-shards")
-			w.Header().Set("X-TGraph-Shards", pe.stats.Header())
-			w.Write(pe.body)
-			return
-		}
-		s.fail(w, statusForRunError(err), err)
-		return
-	}
-	sb := val.(shardedBody)
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("X-TGraph-Cache", outcome.String())
-	w.Header().Set("X-TGraph-Shards", sb.shards)
-	w.Write(sb.body)
 }
 
 func decodeBody(r *http.Request, into any) error {
@@ -1344,12 +1106,7 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 	}
 	_, _, degraded, err := h.ensure(r.Context(), s.cache, s.parallelism, s.scanParallelism)
 	if err != nil {
-		code := http.StatusInternalServerError
-		if errors.Is(err, storage.ErrIncompleteSave) || errors.Is(err, resil.ErrOpen) {
-			code = http.StatusServiceUnavailable
-			w.Header().Set("Retry-After", s.retryAfter())
-		}
-		s.fail(w, code, err)
+		s.failEnsure(w, err)
 		return
 	}
 	if degraded {
@@ -1396,10 +1153,6 @@ type GraphInfo struct {
 	// append); Appended counts records logged since the last compaction.
 	WALSeq   uint64 `json:"walSeq,omitempty"`
 	Appended int    `json:"appended,omitempty"`
-	// Shards and ShardStrategy describe sharded serving (0/"" when the
-	// graph is served unsharded).
-	Shards        int    `json:"shards,omitempty"`
-	ShardStrategy string `json:"shardStrategy,omitempty"`
 }
 
 func (s *Server) handleGraphs(w http.ResponseWriter, r *http.Request) {
@@ -1414,16 +1167,11 @@ func (s *Server) handleGraphs(w http.ResponseWriter, r *http.Request) {
 		h.mu.Lock()
 		info := GraphInfo{
 			Name: h.name, Dir: h.dir, Rep: h.rep.String(),
-			Loaded: h.graph != nil || (h.shardDisk && h.stamp != ""), Stamp: h.stamp,
+			Loaded: h.graph != nil, Stamp: h.stamp,
 			Breaker: h.breaker.State().String(),
 		}
 		if h.log != nil {
 			info.WALSeq = h.log.LastSeq()
-			info.Appended = h.appended
-		}
-		if h.coord != nil {
-			info.Shards = h.coord.N()
-			info.ShardStrategy = h.coord.Strategy().Name()
 			info.Appended = h.appended
 		}
 		h.mu.Unlock()
@@ -1431,17 +1179,6 @@ func (s *Server) handleGraphs(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(out)
-}
-
-// handleHealth is the legacy combined probe: 503 while draining, ok
-// otherwise. Prefer /livez + /readyz, which separate "restart me" from
-// "stop routing to me".
-func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
-	if s.draining.Load() {
-		http.Error(w, "draining", http.StatusServiceUnavailable)
-		return
-	}
-	w.Write([]byte("ok\n"))
 }
 
 // handleLive is the liveness probe: the process is up and the handler

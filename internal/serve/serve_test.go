@@ -341,7 +341,7 @@ func TestDrain(t *testing.T) {
 		close(drained)
 	}()
 
-	// Draining: new work is rejected, health reports down, and Drain
+	// Draining: new work is rejected, readiness reports down, and Drain
 	// itself stays blocked on the in-flight request.
 	deadline := time.After(2 * time.Second)
 	for !s.draining.Load() {
@@ -355,8 +355,8 @@ func TestDrain(t *testing.T) {
 	if w := doJSON(t, s, "POST", "/v1/wzoom", WZoomRequest{Graph: "fig1", Window: "3 units"}); w.Code != http.StatusServiceUnavailable {
 		t.Errorf("request during drain: %d, want 503", w.Code)
 	}
-	if w := doJSON(t, s, "GET", "/healthz", nil); w.Code != http.StatusServiceUnavailable {
-		t.Errorf("healthz during drain: %d, want 503", w.Code)
+	if w := doJSON(t, s, "GET", "/readyz", nil); w.Code != http.StatusServiceUnavailable {
+		t.Errorf("readyz during drain: %d, want 503", w.Code)
 	}
 	select {
 	case <-drained:
@@ -403,8 +403,8 @@ func TestGraphsHealthMetricsEndpoints(t *testing.T) {
 		t.Errorf("graphs after query = %+v", infos)
 	}
 
-	if w := doJSON(t, s, "GET", "/healthz", nil); w.Code != http.StatusOK || w.Body.String() != "ok\n" {
-		t.Errorf("healthz = %d %q", w.Code, w.Body)
+	if w := doJSON(t, s, "GET", "/livez", nil); w.Code != http.StatusOK || w.Body.String() != "ok\n" {
+		t.Errorf("livez = %d %q", w.Code, w.Body)
 	}
 	w = doJSON(t, s, "GET", "/metricsz", nil)
 	if w.Code != http.StatusOK {
@@ -428,6 +428,10 @@ func TestNewValidatesConfig(t *testing.T) {
 	}
 	if _, err := New(Config{Graphs: []GraphConfig{{Name: "a", Dir: "x", Rep: "vhs"}}}); err == nil {
 		t.Error("bad rep: want error")
+	}
+	if _, err := New(Config{Graphs: []GraphConfig{{Name: "a", Dir: "x"}}, Shards: 2}); err == nil ||
+		!strings.Contains(err.Error(), "sharded serving was removed") {
+		t.Errorf("Shards: 2: err = %v, want sharded-serving-removed error", err)
 	}
 }
 
